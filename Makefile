@@ -116,7 +116,7 @@ scale:
 # hard failure, no artifact written. The bench-diff schema gate fails
 # the target when the committed artifact lags a schema bump.
 scale-smoke:
-	$(GO) run ./cmd/bench-diff -require-schema 2 BENCH_scale.json
+	$(GO) run ./cmd/bench-diff -require-schema 3 BENCH_scale.json
 	$(GO) run ./cmd/pimstm-bench -experiment scale \
 		-scale-dpus 64,256 -scale-budget-s 60 -scale-strict-budget -scale-out ""
 

@@ -43,8 +43,7 @@ type appsOptions struct {
 	MinCells int
 	// Seed drives both the matrix expansion and every cell's traffic.
 	Seed uint64
-	// Parallelism is the host-side worker-pool setting (0 = GOMAXPROCS,
-	// 1 = serial reference).
+	// Parallelism is the host-side worker count (0 = GOMAXPROCS).
 	Parallelism int
 	// Out is the JSON artifact path ("" = don't write).
 	Out string

@@ -25,8 +25,7 @@ type multiDPUOptions struct {
 	Batches, OpsPerBatch int
 	// Tasklets is the intra-DPU parallelism.
 	Tasklets int
-	// Parallelism is the host-side worker-pool setting (0 = GOMAXPROCS,
-	// 1 = serial reference).
+	// Parallelism is the host-side worker count (0 = GOMAXPROCS).
 	Parallelism int
 	// Out is the JSON artifact path ("" = don't write).
 	Out string

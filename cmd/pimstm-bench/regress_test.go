@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -71,6 +72,45 @@ func TestTxnServeArtifactPinned(t *testing.T) {
 	}
 	if want := repoArtifact(t, "BENCH_txnserve.json"); string(got) != want {
 		t.Fatal("regenerated BENCH_txnserve.json differs from the committed artifact: the txn serving path changed (regenerate with `make txnserve` if intentional)")
+	}
+}
+
+// TestScaleArtifactPinned: every modeled field of the default scale
+// sweep equals the committed BENCH_scale.json. The artifact's host_*
+// fields are this machine's real wall clock, so the file cannot be
+// pinned byte-for-byte like the others; the test serves each cell once
+// and compares the scenarios with those fields cleared.
+func TestScaleArtifactPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full default sweep")
+	}
+	var want scaleReport
+	if err := json.Unmarshal([]byte(repoArtifact(t, "BENCH_scale.json")), &want); err != nil {
+		t.Fatal(err)
+	}
+	var opt scaleOptions
+	opt.fill()
+	if len(want.Scenarios) != len(opt.Fleets)*len(opt.Skews) {
+		t.Fatalf("committed artifact holds %d scenarios, default sweep has %d",
+			len(want.Scenarios), len(opt.Fleets)*len(opt.Skews))
+	}
+	modeled := func(sc scaleScenario) scaleScenario {
+		sc.HostWorkers, sc.HostWallSeconds, sc.HostOpsPerSecondReal = 0, 0, 0
+		return sc
+	}
+	i := 0
+	for _, n := range opt.Fleets {
+		for _, skew := range opt.Skews {
+			got, err := runScaleCell(n, skew, opt, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if modeled(got) != modeled(want.Scenarios[i]) {
+				t.Fatalf("%d DPUs zipf %g: modeled fields moved (regenerate with `make scale` if intentional):\n got %+v\nwant %+v",
+					n, skew, modeled(got), modeled(want.Scenarios[i]))
+			}
+			i++
+		}
 	}
 }
 

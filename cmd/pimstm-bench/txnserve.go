@@ -47,8 +47,7 @@ type txnServeOptions struct {
 	// Tasklets is the intra-DPU parallelism; Seed the traffic seed.
 	Tasklets int
 	Seed     uint64
-	// Parallelism is the host-side worker-pool setting (0 = GOMAXPROCS,
-	// 1 = serial reference).
+	// Parallelism is the host-side worker count (0 = GOMAXPROCS).
 	Parallelism int
 	// Out is the JSON artifact path ("" = don't write).
 	Out string

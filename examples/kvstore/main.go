@@ -79,15 +79,17 @@ func main() {
 	}
 	fmt.Printf("  %d read batches: %d/%d hits\n", *batches, hits, *batches*100)
 
-	// Cross-DPU atomic transfers: coalesced into one quiescent window
-	// instead of one 331 µs CPU-mediated word at a time.
-	oks, err := pm.ApplyTransfers([]host.Transfer{
-		{From: 1, To: 2, Amount: 250},
-		{From: 3, To: 4, Amount: 100},
+	// Cross-DPU atomic transfers: each a 2-op transaction (guarded debit,
+	// credit), coalesced into one quiescent window instead of one 331 µs
+	// CPU-mediated word at a time.
+	res, err := pm.ApplyTxns([]host.Txn{
+		host.NewTxn(host.Op{Kind: host.OpSub, Key: 1, Value: 250}, host.Op{Kind: host.OpAdd, Key: 2, Value: 250}),
+		host.NewTxn(host.Op{Kind: host.OpSub, Key: 3, Value: 100}, host.Op{Kind: host.OpAdd, Key: 4, Value: 100}),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	oks := []bool{res[0].Committed, res[1].Committed}
 	v1, _ := pm.Get(1)
 	v2, _ := pm.Get(2)
 	fmt.Printf("  coalesced cross-DPU transfers: applied %v; key 1 → %d, key 2 → %d (total conserved: %v)\n",

@@ -62,17 +62,16 @@ func measureApplyTxnsAllocs(t *testing.T, confined bool, par int) float64 {
 	})
 }
 
-// allocGatePaths are the host-execution paths every gate pins: the
-// GOMAXPROCS engine default, the HostParallelism=1 serial reference,
-// and an explicit multi-worker engine (whose small-batch dispatch
-// stays inline below the work floors — the engine must not buy its
-// parallelism with per-batch garbage).
+// allocGatePaths are the worker counts every gate pins: the GOMAXPROCS
+// default, one worker, and an explicit multi-worker engine (whose
+// small-batch dispatch stays inline below the work floors — the engine
+// must not buy its parallelism with per-batch garbage).
 var allocGatePaths = []struct {
 	name string
 	par  int
 }{
 	{"engine", 0},
-	{"serial-ref", 1},
+	{"engine-w1", 1},
 	{"engine-w4", 4},
 }
 

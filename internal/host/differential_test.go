@@ -8,22 +8,21 @@ import (
 )
 
 // The differential safety net for the placement and Txn refactors:
-// randomized op/transfer/transaction streams run through a
+// randomized op/transaction streams run through a
 // PartitionedMap under every placement — static hash, directory,
 // directory with an aggressive rebalancer forcing replication, and one
 // forcing migration — and every result must match a plain host-side
 // reference map. Single-op batches use distinct keys (each op is an
 // independent concurrent transaction, so same-key intra-batch order is
-// unspecified by design); transfers and multi-op transactions may
-// repeat keys freely, because both serialize deterministically in
-// batch order — so the transaction steps deliberately overlap keys,
+// unspecified by design); transfers (2-op debit/credit transactions)
+// and multi-op transactions may repeat keys freely, because they
+// serialize deterministically in batch order — so the transaction steps deliberately overlap keys,
 // mix guarded RMWs with puts and deletes, and straddle whatever keys
 // the rebalancer variants have migrated or replicated.
 
 // diffStep is one step of a generated stream.
 type diffStep struct {
 	ops  []Op
-	ts   []Transfer
 	txns []Txn
 }
 
@@ -62,12 +61,14 @@ func genStream(seed uint64, steps, keyspace int) []diffStep {
 			}
 			out[s] = diffStep{ops: ops}
 		case draw < 7:
+			// Transfer batch: each move a guarded debit plus a credit.
 			n := int(1 + rng.Next()%6)
-			ts := make([]Transfer, n)
-			for i := range ts {
-				ts[i] = Transfer{From: pick(), To: pick(), Amount: rng.Next() % 200}
+			txns := make([]Txn, n)
+			for i := range txns {
+				from, to, amount := pick(), pick(), rng.Next()%200
+				txns[i] = moveTxn(from, to, amount)
 			}
-			out[s] = diffStep{ts: ts}
+			out[s] = diffStep{txns: txns}
 		default:
 			// Multi-key transaction batch: 2–4 ops per txn, keys free
 			// to collide across txns (batch order serializes them) and
@@ -148,41 +149,27 @@ func refApplyTxn(ref map[uint64]uint64, txn Txn) ([]OpResult, bool) {
 	return res, true
 }
 
-// refApply runs one step against the reference map, returning the
-// expected per-op results and transfer outcomes.
-func refApply(ref map[uint64]uint64, step diffStep) ([]OpResult, []bool) {
-	if step.ops != nil {
-		res := make([]OpResult, len(step.ops))
-		for i, op := range step.ops {
-			switch op.Kind {
-			case OpGet:
-				res[i].Value, res[i].OK = ref[op.Key], false
-				if _, ok := ref[op.Key]; ok {
-					res[i].OK = true
-				}
-			case OpPut:
-				_, exists := ref[op.Key]
-				ref[op.Key] = op.Value
-				res[i].OK = !exists
-			case OpDelete:
-				_, res[i].OK = ref[op.Key]
-				delete(ref, op.Key)
+// refApply runs one single-op step against the reference map and
+// returns the expected per-op results.
+func refApply(ref map[uint64]uint64, ops []Op) []OpResult {
+	res := make([]OpResult, len(ops))
+	for i, op := range ops {
+		switch op.Kind {
+		case OpGet:
+			res[i].Value, res[i].OK = ref[op.Key], false
+			if _, ok := ref[op.Key]; ok {
+				res[i].OK = true
 			}
+		case OpPut:
+			_, exists := ref[op.Key]
+			ref[op.Key] = op.Value
+			res[i].OK = !exists
+		case OpDelete:
+			_, res[i].OK = ref[op.Key]
+			delete(ref, op.Key)
 		}
-		return res, nil
 	}
-	ok := make([]bool, len(step.ts))
-	for i, t := range step.ts {
-		from, fok := ref[t.From]
-		_, tok := ref[t.To]
-		if !fok || !tok || from < t.Amount {
-			continue
-		}
-		ref[t.From] -= t.Amount
-		ref[t.To] += t.Amount
-		ok[i] = true
-	}
-	return nil, ok
+	return res
 }
 
 // TestDifferentialKernelCommit pins the kernel-side commit against the
@@ -471,35 +458,22 @@ func TestDifferentialPlacements(t *testing.T) {
 						}
 						continue
 					}
-					wantRes, wantOK := refApply(ref, step)
-					if step.ops != nil {
-						got, err := pm.ApplyBatch(step.ops)
-						if err != nil {
-							t.Fatalf("step %d: %v", si, err)
+					wantRes := refApply(ref, step.ops)
+					got, err := pm.ApplyBatch(step.ops)
+					if err != nil {
+						t.Fatalf("step %d: %v", si, err)
+					}
+					for i := range got {
+						if got[i].Err != nil {
+							t.Fatalf("step %d op %d errored: %v", si, i, got[i].Err)
 						}
-						for i := range got {
-							if got[i].Err != nil {
-								t.Fatalf("step %d op %d errored: %v", si, i, got[i].Err)
-							}
-							if got[i] != wantRes[i] {
-								t.Fatalf("step %d op %d (%+v): got %+v want %+v",
-									si, i, step.ops[i], got[i], wantRes[i])
-							}
+						if got[i] != wantRes[i] {
+							t.Fatalf("step %d op %d (%+v): got %+v want %+v",
+								si, i, step.ops[i], got[i], wantRes[i])
 						}
-						if _, err := pm.MaybeRebalance(); err != nil {
-							t.Fatalf("step %d rebalance: %v", si, err)
-						}
-					} else {
-						got, err := pm.ApplyTransfers(step.ts)
-						if err != nil {
-							t.Fatalf("step %d: %v", si, err)
-						}
-						for i := range got {
-							if got[i] != wantOK[i] {
-								t.Fatalf("step %d transfer %d (%+v): got %v want %v",
-									si, i, step.ts[i], got[i], wantOK[i])
-							}
-						}
+					}
+					if _, err := pm.MaybeRebalance(); err != nil {
+						t.Fatalf("step %d rebalance: %v", si, err)
 					}
 				}
 				// Final state: every key agrees with the reference.

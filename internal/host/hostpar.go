@@ -7,15 +7,14 @@ import (
 )
 
 // This file is the parallel host engine of ApplyTxns: the per-worker
-// scratch arenas, the bounded dispatch helper, and the engine variants
-// of the host-side batch phases (transaction classification, the
-// execute round's per-key write analysis, and sampled-mode shadow-shard
-// application). The engine is selected by PartitionedMapConfig.
-// HostParallelism != 1; HostParallelism == 1 keeps the historical
-// serial implementations verbatim as the differential reference (and
-// as the baseline the scale artifact's host_speedup is measured
-// against). Every engine phase must produce byte-identical modeled
-// results to the reference:
+// scratch arenas, the bounded dispatch helper, and the host-side batch
+// phases that fan out over it (transaction classification, the execute
+// round's per-key write analysis, and sampled-mode shadow-shard
+// application). PartitionedMapConfig.HostParallelism is the worker
+// count and nothing else: every count must produce byte-identical
+// modeled results, which is what the worker-count differentials in
+// hostpar_test.go check against one worker and against the independent
+// reference evaluator. The phases are built so that holds:
 //
 //   - Classification pass 1 writes metas[i] disjointly per transaction,
 //     so striping it over workers changes nothing.
@@ -30,11 +29,10 @@ import (
 //     results[] disjointly; shadow-failure keys are staged per worker
 //     and merged as a set union (markStale is idempotent), and a fatal
 //     commit-unit failure reports the smallest failing DPU id — the
-//     same id the ascending serial sweep would stop at, because shards
-//     are state-disjoint. (After a fatal error the engine may have
-//     applied later shards the serial sweep would have skipped; the
-//     batch error aborts the run either way, so that state is
-//     unobservable.)
+//     same id at every worker count, because shards are
+//     state-disjoint. (After a fatal error later shards may already
+//     have been applied; the batch error aborts the run either way, so
+//     that state is unobservable.)
 //
 // What stays serial by design: unit routing (replica read spreading
 // and put-group tasklet-pin allocation are batch-order-sensitive),
@@ -110,37 +108,27 @@ func runWorkers(n int, f func(wid int)) {
 	wg.Wait()
 }
 
-// HostWorkers reports the effective host-side worker count: 1 on the
-// serial reference path, the resolved HostParallelism otherwise.
-func (pm *PartitionedMap) HostWorkers() int {
-	if pm.hostSerial {
-		return 1
-	}
-	return pm.hostWorkers
-}
+// HostWorkers reports the host-side worker count: the resolved
+// HostParallelism.
+func (pm *PartitionedMap) HostWorkers() int { return pm.hostWorkers }
 
-// ownerFast is the engine's devirtualized owner routing: the static
-// hash inlined when the placement is the stateless StaticHash (the
-// common sweep configuration), the placement interface otherwise. The
-// serial reference keeps the interface call so its measured cost stays
-// representative of the historical implementation.
-func (pm *PartitionedMap) ownerFast(key uint64) int {
-	if n := pm.staticN; n > 0 {
-		h := key
-		h ^= h >> 33
-		h *= 0xFF51AFD7ED558CCD
-		h ^= h >> 33
-		return int(h % uint64(n))
-	}
-	return pm.place.Owner(key)
-}
-
-// classifyTxnsPar is the engine's classifyTxns: pass 1 striped over
-// workers (disjoint metas writes), the conflict pass built per stripe
-// and merged in stripe order, and the union-find unchanged. Single-op
-// transactions — the serving hot shape — classify without the generic
-// per-op loop.
-func (pm *PartitionedMap) classifyTxnsPar(txns []Txn, coordinateAll bool) []txnMeta {
+// classifyTxns analyzes every transaction and resolves the batch's
+// conflict groups: transactions sharing a key at least one of them
+// writes — with a serializing party involved — are unioned, and a group
+// containing a cross-DPU transaction is coordinated as a whole (its
+// single-DPU members cannot run inside their DPU without racing the
+// group's commit). A batch of plain single ops — the ApplyBatch hot
+// path — takes the early exit and allocates nothing per transaction.
+// The returned slice is scratch reused by the next batch.
+//
+// Pass 1 is striped over workers (disjoint metas writes), the conflict
+// pass is built per stripe and merged in stripe order, and the
+// union-find folds over the merged table. Each transaction unions with
+// its keys' first touchers, in batch order; unions with smallest-index
+// roots make the resulting partition and root ids independent of union
+// order, so the groups — and therefore the tasklet pinning and the
+// modeled schedule — are deterministic.
+func (pm *PartitionedMap) classifyTxns(txns []Txn) []txnMeta {
 	sc := &pm.sc
 	if cap(sc.metas) < len(txns) {
 		sc.metas = make([]txnMeta, len(txns))
@@ -150,11 +138,11 @@ func (pm *PartitionedMap) classifyTxnsPar(txns []Txn, coordinateAll bool) []txnM
 	workers := scaleWorkers(pm.hostWorkers, n, minTxnsPerWorker)
 	anyTxnSerializing := false
 	if workers <= 1 {
-		anyTxnSerializing = pm.classifyStripe(txns, metas, 0, n, coordinateAll)
+		anyTxnSerializing = pm.classifyStripe(txns, metas, 0, n)
 	} else {
 		runWorkers(workers, func(wid int) {
 			lo, hi := wid*n/workers, (wid+1)*n/workers
-			pm.par.w[wid].anySer = pm.classifyStripe(txns, metas, lo, hi, coordinateAll)
+			pm.par.w[wid].anySer = pm.classifyStripe(txns, metas, lo, hi)
 		})
 		for wid := 0; wid < workers; wid++ {
 			if pm.par.w[wid].anySer {
@@ -162,7 +150,9 @@ func (pm *PartitionedMap) classifyTxnsPar(txns []Txn, coordinateAll bool) []txnM
 			}
 		}
 	}
-	if coordinateAll || !anyTxnSerializing {
+	// No serializing transaction ⇒ no multi-op or RMW party anywhere,
+	// so no conflict groups and nothing cross-DPU: done.
+	if !anyTxnSerializing {
 		return metas
 	}
 	if workers <= 1 {
@@ -176,7 +166,7 @@ func (pm *PartitionedMap) classifyTxnsPar(txns []Txn, coordinateAll bool) []txnM
 
 // classifyStripe fills metas[lo:hi] and reports whether the stripe
 // holds a serializing transaction.
-func (pm *PartitionedMap) classifyStripe(txns []Txn, metas []txnMeta, lo, hi int, coordinateAll bool) bool {
+func (pm *PartitionedMap) classifyStripe(txns []Txn, metas []txnMeta, lo, hi int) bool {
 	anySer := false
 	for i := lo; i < hi; i++ {
 		m := &metas[i]
@@ -185,13 +175,13 @@ func (pm *PartitionedMap) classifyStripe(txns []Txn, metas []txnMeta, lo, hi int
 			// Single op: its owner is the sole DPU and only a guarded
 			// RMW serializes — no generic loop needed.
 			ser := isRMW(ops[0].Kind)
-			*m = txnMeta{group: -1, soleDPU: pm.ownerFast(ops[0].Key), coordinated: coordinateAll, serializing: ser}
+			*m = txnMeta{group: -1, soleDPU: pm.owner(ops[0].Key), serializing: ser}
 			if ser {
 				anySer = true
 			}
 			continue
 		}
-		*m = txnMeta{group: -1, soleDPU: -1, coordinated: coordinateAll}
+		*m = txnMeta{group: -1, soleDPU: -1}
 		if len(ops) == 0 {
 			continue
 		}
@@ -258,7 +248,7 @@ func (pm *PartitionedMap) buildClassKPar(txns []Txn, metas []txnMeta, workers in
 // fkUnset marks a stripe that never did. It also commits empty
 // transactions (a disjoint per-transaction write) and reports whether
 // any stripe routed units. wroteKeys order is per-stripe batch order,
-// a permutation of the serial order; its only consumer sorts first.
+// a permutation of batch order; its only consumer sorts first.
 func (pm *PartitionedMap) buildKeyWPar(txns []Txn, metas []txnMeta, results []TxnResult, workers int) bool {
 	sc := &pm.sc
 	n := len(txns)
@@ -312,7 +302,7 @@ func (pm *PartitionedMap) buildKeyWPar(txns []Txn, metas []txnMeta, results []Tx
 
 // foldKeyW folds one transaction's write ops into a keyW table — the
 // per-key state machine of the execute round's pass 1, shared by the
-// engine's striped and inline builds.
+// striped and inline builds.
 func foldKeyW(keyW map[uint64]keyWrite, wrote *[]uint64, ops []Op) {
 	guarded := false
 	for _, op := range ops {
@@ -357,11 +347,10 @@ func foldKeyW(keyW map[uint64]keyWrite, wrote *[]uint64, ops []Op) {
 // and each client transaction's results land on exactly one DPU, so
 // workers never write the same result slot; shadow-failure keys are
 // staged per worker and merged into the batch's failure set afterwards
-// (set union — the serial set is built in a different order but is the
-// same set). A commit-unit store failure is fatal for the batch: every
-// worker keeps scanning and records its smallest failing DPU id, and
-// the merge reports the global minimum — the id the ascending serial
-// sweep would have stopped at.
+// (a set union, so the merge order is irrelevant). A commit-unit store
+// failure is fatal for the batch: every worker keeps scanning and
+// records its smallest failing DPU id, and the merge reports the global
+// minimum — the id a one-worker ascending sweep stops at.
 func (pm *PartitionedMap) shadowApplyEngine(involved []int, per [][]routedUnit, results []TxnResult) error {
 	sc := &pm.sc
 	n := len(involved)
@@ -373,7 +362,7 @@ func (pm *PartitionedMap) shadowApplyEngine(involved []int, per [][]routedUnit, 
 			if pm.sim[id] {
 				continue
 			}
-			if err := pm.shadowRunUnitsFast(w, id, per[id], results); err != nil {
+			if err := pm.shadowApplyShard(w, id, per[id], results); err != nil {
 				return err
 			}
 		}
@@ -400,7 +389,7 @@ func (pm *PartitionedMap) shadowApplyEngine(involved []int, per [][]routedUnit, 
 				if pm.sim[id] {
 					continue
 				}
-				if err := pm.shadowRunUnitsFast(w, id, per[id], results); err != nil {
+				if err := pm.shadowApplyShard(w, id, per[id], results); err != nil {
 					if w.err == nil || id < w.errID {
 						w.err, w.errID = err, id
 					}
@@ -427,14 +416,18 @@ func (pm *PartitionedMap) shadowApplyEngine(involved []int, per [][]routedUnit, 
 	return nil
 }
 
-// shadowRunUnitsFast is the engine's shadowRunUnits: identical
-// semantics (routed order, guarded aborts, capacity failures, flush
-// rollback, operand-table-first resolution for kernel-applied units),
-// but running out of the worker's private scratch, iterating units in
-// place, staging failure keys on the worker, and taking a dedicated
-// fast path for the plain single-op client units that dominate sampled
-// serving.
-func (pm *PartitionedMap) shadowRunUnitsFast(w *hostWorker, id int, units []routedUnit, results []TxnResult) error {
+// shadowApplyShard applies one unsimulated DPU's routed units to its
+// host-side shadow shard, sequentially in routed order — batch order
+// for pinned groups, one valid serialization for independent plain ops
+// (whose same-key order within a batch is unspecified by contract).
+// Results, guarded aborts, capacity failures and flush rollbacks are
+// computed exactly as the tasklet path computes them; only the cycle
+// cost is skipped, because the round already charged this bucket
+// analytically. A commit unit's store failure is as loud here as on a
+// simulated DPU; other shadow-op failures are staged on the worker. The
+// plain single-op client units that dominate sampled serving take a
+// dedicated fast path.
+func (pm *PartitionedMap) shadowApplyShard(w *hostWorker, id int, units []routedUnit, results []TxnResult) error {
 	sh := pm.shadow[id]
 	for ui := range units {
 		u := &units[ui]
@@ -477,9 +470,11 @@ func (pm *PartitionedMap) shadowRunUnitsFast(w *hostWorker, id int, units []rout
 }
 
 // shadowEvalUnit runs one transactional unit — guards, overlay
-// evaluation, flush with rollback, operand-table-first resolution for
-// kernel-applied units — against a shadow shard out of the worker's
-// private scratch. Shared between the routed sweep above and the fused
+// evaluation, flush with rollback — against a shadow shard out of the
+// worker's private scratch. Kernel-applied units resolve their remote
+// keys through the same operand-table-first view the kernels use
+// (compile∘decode is the identity, so the shard executes the original
+// ops directly). Shared between the routed sweep above and the fused
 // route's inline apply of single-op RMWs.
 func (pm *PartitionedMap) shadowEvalUnit(w *hostWorker, id int, u *routedUnit, results []TxnResult) {
 	sh := pm.shadow[id]

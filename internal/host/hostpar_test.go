@@ -23,9 +23,9 @@ func storeContents(t *testing.T, pm *PartitionedMap, keyspace int) map[uint64]ui
 }
 
 // TestHostParallelismDifferential: every HostParallelism setting —
-// GOMAXPROCS engine, explicit 2- and 4-worker engines — produces
-// byte-identical modeled results to the HostParallelism=1 serial
-// reference, across placement × scheduler × fleet-mode variants:
+// GOMAXPROCS, explicit 2 and 4 workers — produces byte-identical
+// modeled results to one worker, across placement × scheduler ×
+// fleet-mode variants:
 // exact and sampled fleets, static-hash and directory placement with
 // an armed rebalancer (split keys included), FIFO and lane scheduling,
 // single-op and cross-DPU multi-op traffic.
@@ -155,7 +155,7 @@ func TestHostParallelismDifferential(t *testing.T) {
 			}
 			ref, refState := run(1)
 			if ref.HostWorkers != 1 {
-				t.Fatalf("serial reference reports %d workers", ref.HostWorkers)
+				t.Fatalf("one-worker run reports %d workers", ref.HostWorkers)
 			}
 			ref.ZeroHostClock()
 			for _, par := range []int{0, 2, 4} {
@@ -165,10 +165,10 @@ func TestHostParallelismDifferential(t *testing.T) {
 				}
 				got.ZeroHostClock()
 				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("par %d diverged from serial reference:\n%+v\n%+v", par, got, ref)
+					t.Fatalf("par %d diverged from one worker:\n%+v\n%+v", par, got, ref)
 				}
 				if !reflect.DeepEqual(gotState, refState) {
-					t.Fatalf("par %d store diverged from serial reference", par)
+					t.Fatalf("par %d store diverged from one worker", par)
 				}
 			}
 		})
@@ -183,7 +183,7 @@ func TestHostParallelismDifferential(t *testing.T) {
 // The workload is commutative (guarded OpAdd on preloaded counters,
 // some cross-DPU 2-op adds), so despite nondeterministic batch
 // formation the final store state must equal both the arithmetic
-// expectation and a HostParallelism=1 serial replay of the same
+// expectation and a one-worker sequential replay of the same
 // transaction multiset.
 func TestHostParallelShadowRaceStress(t *testing.T) {
 	const (
@@ -267,7 +267,7 @@ func TestHostParallelShadowRaceStress(t *testing.T) {
 		}
 	}
 
-	// Serial replay of the same multiset on the reference path.
+	// Sequential replay of the same multiset with one worker.
 	ref := mkMap(1)
 	for lo := 0; lo < len(allTxns); lo += 1024 {
 		hi := min(lo+1024, len(allTxns))
@@ -277,7 +277,7 @@ func TestHostParallelShadowRaceStress(t *testing.T) {
 		}
 		for i := range res {
 			if !res[i].Committed {
-				t.Fatalf("reference txn %d aborted: %+v", lo+i, res[i])
+				t.Fatalf("replayed txn %d aborted: %+v", lo+i, res[i])
 			}
 		}
 	}
@@ -288,7 +288,301 @@ func TestHostParallelShadowRaceStress(t *testing.T) {
 			t.Fatalf("key %d: engine store holds (%d,%v), want %d", k, v, ok, want)
 		}
 		if v, ok := ref.Get(k); !ok || v != want {
-			t.Fatalf("key %d: reference store holds (%d,%v), want %d", k, v, ok, want)
+			t.Fatalf("key %d: replayed store holds (%d,%v), want %d", k, v, ok, want)
 		}
+	}
+}
+
+// largeBatchVariant is one configuration of the large-batch worker-count
+// differential: a fleet, a keyspace, and a batch size big enough that a
+// 4-worker engine really dispatches four workers (the small variants
+// above stay under minTxnsPerWorker / minShardsPerWorker and run one).
+type largeBatchVariant struct {
+	name         string
+	dpus, sample int
+	directory    bool
+	keyspace     int
+	// hot keys [0,hot) are replicated and never deleted, so they keep
+	// their copy set for the whole run and may take several plain puts
+	// per batch (the replicated-put rule pins those to one owner tasklet
+	// in batch order); warm keys [hot,hot+warm) are replicated too but
+	// deletable, and are re-promoted between batches.
+	hot, warm      int
+	batch, batches int
+	long           bool
+}
+
+// genLargeBatches builds the variant's batches. Every batch mixes
+// confined multi-op transactions, cross-DPU multi-op transactions,
+// single-op guarded RMWs and plain single ops, shaped so that batch
+// order is the only legal outcome and refApplyTxn can predict every
+// result: a plain single op lands on a key some serializing transaction
+// of the batch touches (the conflict rule then orders every toucher), on
+// a hot key in this batch's mode for it (puts only, or gets only), or on
+// a key no other plain op of the batch uses. Replicated key k cycles
+// through four phases, (b+k)%4 in batch b: plain puts only, plain gets
+// only (served by the copies the previous batch wrote through), then
+// the same two modes with serializing transactions allowed on the key
+// (guarded writers stale the copies; a later batch refreshes them).
+func genLargeBatches(v largeBatchVariant, owner func(uint64) int) [][]Txn {
+	rng := Rand64(uint64(v.dpus)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
+	byDPU := make([][]uint64, v.dpus)
+	for k := uint64(0); k < uint64(v.keyspace); k++ {
+		byDPU[owner(k)] = append(byDPU[owner(k)], k)
+	}
+	isHot := func(k uint64) bool { return k < uint64(v.hot) }
+	batch := 0
+	// txnKey draws a serializing transaction's key from keys, skipping the
+	// replicated keys whose phase keeps them plain this batch.
+	txnKey := func(keys []uint64) uint64 {
+		for {
+			k := keys[rng.Next()%uint64(len(keys))]
+			if k >= uint64(v.hot+v.warm) || (batch+int(k))%4 >= 2 {
+				return k
+			}
+		}
+	}
+	// txnOp draws one op of a serializing transaction; hot keys are never
+	// deleted.
+	txnOp := func(k uint64) Op {
+		switch kind := rng.Next() % 10; {
+		case kind == 0 && !isHot(k):
+			return Op{Kind: OpDelete, Key: k}
+		case kind <= 2:
+			return Op{Kind: OpPut, Key: k, Value: rng.Next() % 1000}
+		case kind <= 4:
+			return Op{Kind: OpAdd, Key: k, Value: rng.Next() % 50}
+		case kind <= 6:
+			return Op{Kind: OpSub, Key: k, Value: rng.Next() % 50}
+		}
+		return Op{Kind: OpGet, Key: k}
+	}
+	all := make([]uint64, v.keyspace)
+	for k := range all {
+		all[k] = uint64(k)
+	}
+	var out [][]Txn
+	for batch = 0; batch < v.batches; batch++ {
+		txns := make([]Txn, v.batch)
+		serial := make(map[uint64]bool)
+		var plain []int
+		for i := range txns {
+			var ops []Op
+			switch draw := rng.Next() % 40; {
+			case draw < 6: // confined multi-op
+				keys := byDPU[rng.Next()%uint64(v.dpus)]
+				for len(keys) == 0 {
+					keys = byDPU[rng.Next()%uint64(v.dpus)]
+				}
+				for j := 2 + rng.Next()%2; j > 0; j-- {
+					ops = append(ops, txnOp(txnKey(keys)))
+				}
+			case draw < 7: // cross-DPU multi-op (when the two owners differ)
+				ops = []Op{txnOp(txnKey(all)), txnOp(txnKey(all))}
+			case draw < 24: // single-op guarded RMW
+				kind := OpAdd
+				if rng.Next()%2 == 0 {
+					kind = OpSub
+				}
+				ops = []Op{{Kind: kind, Key: txnKey(all), Value: rng.Next() % 50}}
+			default:
+				plain = append(plain, i)
+				continue
+			}
+			for _, op := range ops {
+				serial[op.Key] = true
+			}
+			txns[i] = Txn{Ops: ops}
+		}
+		used := make(map[uint64]bool)
+		for _, i := range plain {
+			for {
+				k := rng.Next() % uint64(v.keyspace)
+				// Half the plain traffic concentrates on the replicated
+				// keys, so the copies are written through and read back.
+				if v.hot > 0 && rng.Next()%2 == 0 {
+					k = rng.Next() % uint64(v.hot+v.warm)
+				}
+				var op Op
+				switch {
+				case isHot(k) && !serial[k]:
+					op = Op{Kind: OpGet, Key: k}
+					if (batch+int(k))%2 == 0 {
+						op = Op{Kind: OpPut, Key: k, Value: rng.Next() % 1000}
+					}
+				case serial[k] || !used[k]:
+					used[k] = true
+					switch kind := rng.Next() % 10; {
+					case kind == 0 && !isHot(k):
+						op = Op{Kind: OpDelete, Key: k}
+					case kind <= 3:
+						op = Op{Kind: OpPut, Key: k, Value: rng.Next() % 1000}
+					default:
+						op = Op{Kind: OpGet, Key: k}
+					}
+				default:
+					continue
+				}
+				txns[i] = Txn{Ops: []Op{op}}
+				break
+			}
+		}
+		// Read every replicated key back three times in a batch of its
+		// own, so the owner and both copies answer (a single-op read
+		// spreads by batch position).
+		out = append(out, txns)
+		if v.hot+v.warm > 0 {
+			var readBack []Txn
+			for k := uint64(0); k < uint64(v.hot+v.warm); k++ {
+				for j := 0; j < 3; j++ {
+					readBack = append(readBack, Txn{Ops: []Op{{Kind: OpGet, Key: k}}})
+				}
+			}
+			out = append(out, readBack)
+		}
+	}
+	return out
+}
+
+// TestHostParallelismLargeBatchDifferential makes worker-count equality
+// a real oracle: batches of ≥ 2048 multi-op and guarded-RMW transactions
+// cross minTxnsPerWorker at four workers (striped classification and
+// the classK merge), a Directory with replicated keys taking repeated
+// puts and deletes makes the striped keyW merge — last stripe wins on
+// fk/lastPut — decide what the copies hold, and a 320-DPU sampled fleet
+// involves > 256 shadow shards per batch (the chunked shadow dispatch).
+// Every HostParallelism setting must match the one-worker run on every
+// result and modeled number, and every run must match the independent
+// reference evaluator result by result and on the final store state.
+func TestHostParallelismLargeBatchDifferential(t *testing.T) {
+	variants := []largeBatchVariant{
+		{name: "directory-replicas", dpus: 8, sample: 0, directory: true,
+			keyspace: 1024, hot: 8, warm: 56, batch: 2048, batches: 4},
+		{name: "sampled-320-shards", dpus: 320, sample: 8,
+			keyspace: 1280, batch: 2560, batches: 2, long: true},
+	}
+	type window struct {
+		results []TxnResult
+		seconds float64
+		phases  ApplyTxnsStats
+	}
+	type outcome struct {
+		windows     []window
+		stats       FleetStats
+		coordinated int
+		dirStats    DirectoryStats
+		state       map[uint64]uint64
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			if v.long && testing.Short() {
+				t.Skip("largest variant")
+			}
+			build := func(par int) *PartitionedMap {
+				cfg := PartitionedMapConfig{
+					DPUs: v.dpus, Buckets: 64, Capacity: 512, Tasklets: 4,
+					STM: core.Config{Algorithm: core.NOrec}, Mode: Pipelined,
+					Sample: v.sample, HostParallelism: par,
+				}
+				if v.directory {
+					cfg.Placement = NewDirectory(v.dpus)
+				}
+				pm, err := NewPartitionedMap(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pm
+			}
+			batches := genLargeBatches(v, build(1).owner)
+
+			// The reference: preload, then every batch in batch order.
+			ref := make(map[uint64]uint64)
+			var load []Op
+			for k := uint64(0); k < uint64(v.keyspace); k++ {
+				if k < uint64(v.hot+v.warm) || k%2 == 0 {
+					load = append(load, Op{Kind: OpPut, Key: k, Value: 500 + k})
+					ref[k] = 500 + k
+				}
+			}
+			type refTxn struct {
+				res []OpResult
+				ok  bool
+			}
+			want := make([][]refTxn, len(batches))
+			for b, txns := range batches {
+				want[b] = make([]refTxn, len(txns))
+				for i, txn := range txns {
+					want[b][i].res, want[b][i].ok = refApplyTxn(ref, txn)
+				}
+			}
+
+			run := func(par int) outcome {
+				pm := build(par)
+				if _, err := pm.ApplyBatch(load); err != nil {
+					t.Fatal(err)
+				}
+				var out outcome
+				for b, txns := range batches {
+					// (Re-)promote the replicated keys that hold no copies:
+					// all of them before the first batch, afterwards the
+					// warm keys a delete dropped (ReplicateKeys skips the
+					// ones still missing from their owner).
+					reps := make(map[uint64][]int)
+					for k := uint64(0); k < uint64(v.hot+v.warm); k++ {
+						if len(pm.dir.allReplicas(k)) == 0 {
+							o := pm.owner(k)
+							reps[k] = []int{(o + 1) % v.dpus, (o + 2) % v.dpus}
+						}
+					}
+					if len(reps) > 0 {
+						if err := pm.ReplicateKeys(reps); err != nil {
+							t.Fatal(err)
+						}
+					}
+					res, err := pm.ApplyTxns(txns)
+					if err != nil {
+						t.Fatalf("par %d batch %d: %v", par, b, err)
+					}
+					for i := range res {
+						w := want[b][i]
+						if res[i].Err != nil || res[i].Committed != w.ok {
+							t.Fatalf("par %d batch %d txn %d (%+v): got %+v, reference committed %v",
+								par, b, i, txns[i].Ops, res[i], w.ok)
+						}
+						for j := range w.res {
+							if res[i].Results[j] != w.res[j] {
+								t.Fatalf("par %d batch %d txn %d op %d (%+v): got %+v want %+v",
+									par, b, i, j, txns[i].Ops[j], res[i].Results[j], w.res[j])
+							}
+						}
+					}
+					ph := pm.BatchPhases
+					ph.HostClassifySeconds, ph.HostRouteSeconds = 0, 0
+					ph.HostShadowSeconds, ph.HostCompileSeconds = 0, 0
+					out.windows = append(out.windows, window{res, pm.BatchSeconds, ph})
+				}
+				out.stats, out.coordinated = pm.Stats(), pm.TxnsCoordinated
+				if pm.dir != nil {
+					out.dirStats = pm.dir.Stats()
+				}
+				out.state = storeContents(t, pm, v.keyspace)
+				if !reflect.DeepEqual(out.state, ref) {
+					t.Fatalf("par %d final store state diverged from the reference", par)
+				}
+				if pm.Len() != len(ref) {
+					t.Fatalf("par %d final len %d, reference %d", par, pm.Len(), len(ref))
+				}
+				return out
+			}
+			one := run(1)
+			if one.coordinated == 0 {
+				t.Fatal("stream never coordinated")
+			}
+			for _, par := range []int{0, 2, 4} {
+				if got := run(par); !reflect.DeepEqual(got, one) {
+					t.Fatalf("par %d diverged from the one-worker run on modeled outputs", par)
+				}
+			}
+		})
 	}
 }

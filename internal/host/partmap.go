@@ -75,13 +75,11 @@ type PartitionedMap struct {
 	exec map[int]*dpuExec
 
 	// Host-parallel engine state (hostpar.go): the resolved worker
-	// count, whether the serial reference path is selected instead, the
-	// static-hash fan-in of the engine's devirtualized owner routing
+	// count, the static-hash fan-in of the devirtualized owner routing
 	// (0 when the placement is not a plain StaticHash), the owner
 	// closure bound once for classifyOps, and the per-worker scratch
 	// arenas with their dispatch cursor.
 	hostWorkers int
-	hostSerial  bool
 	staticN     int
 	ownerFn     func(uint64) int
 	par         hostPar
@@ -103,7 +101,7 @@ type PartitionedMap struct {
 	splitTrack map[uint64]uint64
 
 	// BatchSeconds is the modeled wall-clock delta of the last
-	// ApplyTxns/ApplyBatch/ApplyTransfers call (what that window added
+	// ApplyTxns/ApplyBatch call (what that window added
 	// to the fleet clock; see Stats for the cumulative breakdown).
 	BatchSeconds float64
 	// BatchLaunchSeconds and BatchTransferSeconds split the last
@@ -124,15 +122,15 @@ type PartitionedMap struct {
 	// per-phase attribution the bench artifacts record.
 	BatchPhases ApplyTxnsStats
 
-	// mutPut/mutVals/mutDel is the in-flight mutateLists context read
-	// by the persistent mutate-round programs; execProgFn and mutProgFn
-	// are the Round program values, bound once so the hot path never
-	// re-creates a method closure.
-	mutPut, mutDel *dpuKeyLists
-	mutVals        map[uint64]uint64
-	execProgFn     func(id int, d *dpu.DPU) (float64, error)
-	mutProgFn      func(id int, d *dpu.DPU) (float64, error)
-	wbProgFn       func(id int, d *dpu.DPU) (float64, error)
+	// mutVals holds the in-flight mutateRound's put values, read (with
+	// the sc.ctlPut/ctlDel lists) by the persistent mutate-round
+	// programs; execProgFn, mutProgFn and wbProgFn are the Round program
+	// values, bound once so the hot path never re-creates a method
+	// closure.
+	mutVals    map[uint64]uint64
+	execProgFn func(id int, d *dpu.DPU) (float64, error)
+	mutProgFn  func(id int, d *dpu.DPU) (float64, error)
+	wbProgFn   func(id int, d *dpu.DPU) (float64, error)
 }
 
 // PartitionedMapConfig parameterizes a store. Zero fields take the
@@ -165,14 +163,11 @@ type PartitionedMapConfig struct {
 	// approximate. 0 simulates every DPU — the exact mode every
 	// pre-sampling artifact uses.
 	Sample int
-	// HostParallelism bounds the worker pool of the host-side batch
-	// phases (transaction classification, per-key write analysis,
-	// sampled shadow-shard application) and of the fleet's DPU
-	// simulations. 0 resolves to GOMAXPROCS. 1 selects the historical
-	// serial implementations verbatim — the differential reference the
-	// parallel engine must match byte-identically on every modeled
-	// artifact. Any other value runs the engine with that many workers
-	// (a 1-worker engine is HostParallelism on a single-CPU GOMAXPROCS).
+	// HostParallelism is the worker count of the host-side batch phases
+	// (transaction classification, per-key write analysis, sampled
+	// shadow-shard application) and of the fleet's DPU simulations.
+	// 0 resolves to GOMAXPROCS. It is a speed knob only: every modeled
+	// result is byte-identical at every worker count.
 	HostParallelism int
 }
 
@@ -210,13 +205,6 @@ type OpResult struct {
 	Err error
 }
 
-// Transfer is one cross-DPU atomic move: Amount is debited from the
-// value under From and credited to the value under To.
-type Transfer struct {
-	From, To uint64
-	Amount   uint64
-}
-
 // NewPartitionedMap builds a store over cfg.DPUs DPUs. With Sample 0
 // the fleet is exact (every DPU simulated, the mode in which the stored
 // data is bit-for-bit what real hardware would hold); with Sample > 0
@@ -252,7 +240,6 @@ func NewPartitionedMap(cfg PartitionedMapConfig) (*PartitionedMap, error) {
 		place:    cfg.Placement,
 	}
 	pm.dir, _ = cfg.Placement.(*Directory)
-	pm.hostSerial = cfg.HostParallelism == 1
 	pm.hostWorkers = cfg.HostParallelism
 	if pm.hostWorkers == 0 {
 		pm.hostWorkers = runtime.GOMAXPROCS(0)
@@ -261,9 +248,7 @@ func NewPartitionedMap(cfg PartitionedMapConfig) (*PartitionedMap, error) {
 	if _, static := cfg.Placement.(*StaticHash); static {
 		pm.staticN = cfg.DPUs
 	}
-	if !pm.hostSerial {
-		pm.par.w = make([]hostWorker, pm.hostWorkers)
-	}
+	pm.par.w = make([]hostWorker, pm.hostWorkers)
 	fo := FleetOptions{DPUs: cfg.DPUs, Tasklets: cfg.Tasklets, Parallelism: cfg.HostParallelism}
 	if cfg.Sample > 0 {
 		fo.Sample = cfg.Sample
@@ -341,8 +326,15 @@ func (pm *PartitionedMap) Placement() Placement { return pm.place }
 // for pipeline-gain comparisons).
 func (pm *PartitionedMap) Stats() FleetStats { return pm.fleet.Stats() }
 
-// owner routes a key to its authoritative DPU.
-func (pm *PartitionedMap) owner(key uint64) int { return pm.place.Owner(key) }
+// owner routes a key to its authoritative DPU: the static hash called
+// directly when the placement is the stateless StaticHash (the common
+// sweep configuration), the placement interface otherwise.
+func (pm *PartitionedMap) owner(key uint64) int {
+	if pm.staticN > 0 {
+		return hashOwner(key, pm.staticN)
+	}
+	return pm.place.Owner(key)
+}
 
 // ApplyBatch routes a batch of independent single operations — each op
 // its own 1-op transaction, the ApplyTxns degenerate case — and returns
@@ -379,52 +371,6 @@ func (pm *PartitionedMap) MaybeRebalance() (bool, error) {
 		return false, nil
 	}
 	return pm.reb.Step()
-}
-
-// ApplyTransfers executes a batch of cross-DPU atomic moves in one
-// quiescent window, each transfer a 2-key transaction — a guarded
-// debit of From (OpSub, aborting on a missing key or underflow) and a
-// credit of To (OpAdd, aborting on a missing key) — applied in batch
-// order. All transfers are CPU-coordinated regardless of placement
-// (the historical contract): the touched records ride one coalesced
-// snapshot gather, the host applies the read-modify-writes against the
-// snapshot, and the changed 16-byte records ride one coalesced
-// writeback scatter — never 331 µs CPU-mediated words. ok[i] reports
-// whether transfer i committed. Replica copies of changed keys go
-// stale and are refreshed by a later batch.
-func (pm *PartitionedMap) ApplyTransfers(ts []Transfer) ([]bool, error) {
-	ok := make([]bool, len(ts))
-	if len(ts) == 0 {
-		pm.BatchSeconds = 0
-		return ok, nil
-	}
-	txns := make([]Txn, len(ts))
-	for i, t := range ts {
-		txns[i] = Txn{Ops: []Op{
-			{Kind: OpSub, Key: t.From, Value: t.Amount},
-			{Kind: OpAdd, Key: t.To, Value: t.Amount},
-		}}
-	}
-	res, err := pm.applyTxns(txns, true)
-	if err != nil {
-		return nil, err
-	}
-	for i := range res {
-		ok[i] = res[i].Committed
-	}
-	return ok, nil
-}
-
-// TransferBetween atomically moves `amount` from the value under
-// keyFrom to the value under keyTo — a single-element ApplyTransfers.
-// It reports false without changes if either key is missing or the
-// source would underflow.
-func (pm *PartitionedMap) TransferBetween(keyFrom, keyTo, amount uint64) (bool, error) {
-	ok, err := pm.ApplyTransfers([]Transfer{{From: keyFrom, To: keyTo, Amount: amount}})
-	if err != nil {
-		return false, err
-	}
-	return ok[0], nil
 }
 
 // MigrateKeys rehomes each key to its destination DPU, as two modeled
@@ -664,33 +610,27 @@ func (pm *PartitionedMap) gatherRound(perSrc *dpuKeyLists, out map[uint64]uint64
 }
 
 // mutateRound runs one scatter round that puts vals[k] for every key of
-// putOn[id] and deletes every key of delOn[id] — the control-plane
-// entry over mutateLists.
+// putOn[id] and deletes every key of delOn[id]: one coalesced program
+// per involved DPU, 16 bytes of scatter payload per put record and 8
+// per delete message, charged by the worst-case bucket. Simulated DPUs
+// run the persistent single-tasklet mutate program; shadow shards apply
+// the same puts and deletes host-side, with the worst shadow bucket
+// charged analytically through the round's kernel floor.
 func (pm *PartitionedMap) mutateRound(putOn map[int][]uint64, vals map[uint64]uint64, delOn map[int][]uint64) error {
 	sc := &pm.sc
-	sc.ctlPut.reset()
-	sc.ctlDel.reset()
+	put, del := &sc.ctlPut, &sc.ctlDel
+	put.reset()
+	del.reset()
 	for id, ks := range putOn {
 		for _, k := range ks {
-			sc.ctlPut.add(id, k)
+			put.add(id, k)
 		}
 	}
 	for id, ks := range delOn {
 		for _, k := range ks {
-			sc.ctlDel.add(id, k)
+			del.add(id, k)
 		}
 	}
-	return pm.mutateLists(&sc.ctlPut, vals, &sc.ctlDel)
-}
-
-// mutateLists is the mutation core: one coalesced program per involved
-// DPU, 16 bytes of scatter payload per put record and 8 per delete
-// message, charged by the worst-case bucket. Simulated DPUs run the
-// persistent single-tasklet mutate program; shadow shards apply the
-// same puts and deletes host-side, with the worst shadow bucket charged
-// analytically through the round's kernel floor.
-func (pm *PartitionedMap) mutateLists(put *dpuKeyLists, vals map[uint64]uint64, del *dpuKeyLists) error {
-	sc := &pm.sc
 	inv := sc.mutInvolved[:0]
 	inv = append(inv, put.touched...)
 	for _, id := range del.touched {
@@ -711,25 +651,16 @@ func (pm *PartitionedMap) mutateLists(put *dpuKeyLists, vals map[uint64]uint64, 
 			}
 		}
 	}
-	pm.mutPut, pm.mutVals, pm.mutDel = put, vals, del
-	spec := RoundSpec{
-		Involved:     len(inv),
-		ScatterBytes: maxBytes,
-		IDs:          inv,
-		Program:      pm.mutProgFn,
-	}
-	if pm.sampled {
-		ids := sc.mutSimIDs[:0]
-		for _, id := range inv {
-			if pm.sim[id] {
-				ids = append(ids, id)
-			}
-		}
-		sc.mutSimIDs = ids
-		spec.IDs = ids
-		spec.AnalyticKernelSeconds = dpu.EstimateKernelSeconds(pm.opCycles, maxShadowOps, 0)
-	}
-	if err := pm.fleet.Round(spec); err != nil {
+	pm.mutVals = vals
+	// No units and no rate: the shards take the put/del lists below, and
+	// mutate kernels calibrate nothing.
+	if err := pm.launchRound(RoundSpec{
+		Involved:              len(inv),
+		ScatterBytes:          maxBytes,
+		IDs:                   inv,
+		Program:               pm.mutProgFn,
+		AnalyticKernelSeconds: dpu.EstimateKernelSeconds(pm.opCycles, maxShadowOps, 0),
+	}, nil, nil, nil, nil); err != nil {
 		return err
 	}
 	if pm.sampled {
@@ -750,7 +681,7 @@ func (pm *PartitionedMap) mutateLists(put *dpuKeyLists, vals map[uint64]uint64, 
 	return nil
 }
 
-// runMutProgram is the Round program of mutateLists on one simulated
+// runMutProgram is the Round program of mutateRound on one simulated
 // DPU: it relaunches the DPU's persistent single-tasklet mutate kernel.
 func (pm *PartitionedMap) runMutProgram(id int, d *dpu.DPU) (float64, error) {
 	e := pm.exec[id]
@@ -771,7 +702,7 @@ func (pm *PartitionedMap) runMutProgram(id int, d *dpu.DPU) (float64, error) {
 func (e *dpuExec) runMutate(t *dpu.Tasklet) {
 	pm := e.pm
 	m := pm.maps[e.id]
-	puts, dels, vals := pm.mutPut.lists[e.id], pm.mutDel.lists[e.id], pm.mutVals
+	puts, dels, vals := pm.sc.ctlPut.lists[e.id], pm.sc.ctlDel.lists[e.id], pm.mutVals
 	tx := e.txFor(0, t)
 	tx.Atomic(func(tx *core.Tx) {
 		e.mutErr = nil // fresh attempt after an abort

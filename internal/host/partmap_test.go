@@ -18,6 +18,24 @@ func newPM(t *testing.T, dpus int) *PartitionedMap {
 	return pm
 }
 
+// moveTxn is a cross-key atomic move: a guarded debit of from plus a
+// credit of to, refused as a whole when either key is missing or the
+// source would underflow.
+func moveTxn(from, to, amount uint64) Txn {
+	return NewTxn(Op{Kind: OpSub, Key: from, Value: amount}, Op{Kind: OpAdd, Key: to, Value: amount})
+}
+
+// move applies one moveTxn as its own batch and reports whether it
+// committed.
+func move(t *testing.T, pm *PartitionedMap, from, to, amount uint64) bool {
+	t.Helper()
+	res, err := pm.ApplyTxns([]Txn{moveTxn(from, to, amount)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0].Committed
+}
+
 func TestPartitionedMapValidation(t *testing.T) {
 	if _, err := NewPartitionedMap(PartitionedMapConfig{Buckets: 64, Capacity: 64, Tasklets: 4}); err == nil {
 		t.Fatal("zero DPUs accepted")
@@ -166,9 +184,8 @@ func TestCrossDPUTransfer(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := pm.TransferBetween(a, b, 300)
-	if err != nil || !ok {
-		t.Fatalf("transfer failed: %v %v", ok, err)
+	if !move(t, pm, a, b, 300) {
+		t.Fatal("transfer refused")
 	}
 	va, _ := pm.Get(a)
 	vb, _ := pm.Get(b)
@@ -176,25 +193,25 @@ func TestCrossDPUTransfer(t *testing.T) {
 		t.Fatalf("balances = %d,%d want 700,800", va, vb)
 	}
 	// Underflow refused without changes.
-	ok, err = pm.TransferBetween(a, b, 10000)
-	if err != nil || ok {
-		t.Fatalf("underflow accepted: %v %v", ok, err)
+	if move(t, pm, a, b, 10000) {
+		t.Fatal("underflow accepted")
 	}
 	va, _ = pm.Get(a)
 	vb, _ = pm.Get(b)
-	if va+vb != 1500 {
-		t.Fatalf("total not conserved: %d", va+vb)
+	if va != 700 || vb != 800 {
+		t.Fatalf("refused transfer changed balances: %d,%d", va, vb)
 	}
 	// Missing key refused.
-	if ok, _ := pm.TransferBetween(999999, a, 1); ok {
+	if move(t, pm, 999999, a, 1) {
 		t.Fatal("transfer from missing key accepted")
 	}
 }
 
-// TestApplyTransfersCoalesced: a whole batch of cross-DPU moves must
-// cost two fleet rounds (one coalesced gather, one coalesced writeback)
-// instead of four 331 µs CPU-mediated words per move.
-func TestApplyTransfersCoalesced(t *testing.T) {
+// TestCrossDPUMovesCoalesced: a whole batch of cross-DPU moves costs a
+// bounded number of coalesced fleet rounds (one gather, one commit, at
+// most one execute round for moves that happen to be confined) — never
+// four 331 µs CPU-mediated words per move — and conserves the total.
+func TestCrossDPUMovesCoalesced(t *testing.T) {
 	pm := newPM(t, 4)
 	var ops []Op
 	for k := uint64(0); k < 32; k++ {
@@ -205,25 +222,25 @@ func TestApplyTransfersCoalesced(t *testing.T) {
 	}
 	before := pm.Stats()
 
-	var ts []Transfer
+	var txns []Txn
 	for k := uint64(0); k < 16; k++ {
-		ts = append(ts, Transfer{From: k, To: k + 16, Amount: 100})
+		txns = append(txns, moveTxn(k, k+16, 100))
 	}
-	ts = append(ts,
-		Transfer{From: 0, To: 1, Amount: 100000}, // underflow: refused
-		Transfer{From: 424242, To: 0, Amount: 1}, // missing key: refused
+	txns = append(txns,
+		moveTxn(0, 1, 100000), // underflow: refused
+		moveTxn(424242, 0, 1), // missing key: refused
 	)
-	ok, err := pm.ApplyTransfers(ts)
+	res, err := pm.ApplyTxns(txns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		if !ok[i] {
-			t.Fatalf("transfer %d refused", i)
+		if !res[i].Committed {
+			t.Fatalf("move %d refused", i)
 		}
 	}
-	if ok[16] || ok[17] {
-		t.Fatalf("bad transfers accepted: %v", ok[16:])
+	if res[16].Committed || res[17].Committed {
+		t.Fatalf("bad moves accepted: %+v", res[16:])
 	}
 	total := uint64(0)
 	for k := uint64(0); k < 32; k++ {
@@ -237,48 +254,34 @@ func TestApplyTransfersCoalesced(t *testing.T) {
 		t.Fatalf("total not conserved: %d", total)
 	}
 	after := pm.Stats()
-	if got := after.Rounds - before.Rounds; got != 2 {
-		t.Fatalf("coalesced batch took %d fleet rounds, want 2", got)
+	if pm.TxnsCoordinated == 0 {
+		t.Fatal("no move crossed DPUs")
+	}
+	if got := after.Rounds - before.Rounds; got > 3 {
+		t.Fatalf("coalesced batch took %d fleet rounds, want at most 3", got)
 	}
 	// The coalesced window must undercut the per-word §3.1 path: 4
 	// CPU-mediated words per applied move.
 	perWord := float64(4*16) * InterDPUWordLatencySeconds
 	if got := after.WallSeconds - before.WallSeconds; got >= perWord {
-		t.Fatalf("coalesced transfers cost %.3f ms, per-word path would be %.3f ms", got*1e3, perWord*1e3)
-	}
-	// Both directions move 16-byte key+value records (the host-side
-	// Walk reads both), sized by the worst-case per-DPU bucket. Every
-	// touched key was dirtied here, so gather and writeback charge the
-	// same payload.
-	buckets := map[int]int{}
-	maxWords := 0
-	for k := uint64(0); k < 32; k++ {
-		buckets[pm.owner(k)]++
-		if buckets[pm.owner(k)] > maxWords {
-			maxWords = buckets[pm.owner(k)]
-		}
-	}
-	wantXfer := 2 * TransferSeconds(len(buckets), 16*maxWords)
-	if got := after.TransferSeconds - before.TransferSeconds; got < wantXfer-1e-12 || got > wantXfer+1e-12 {
-		t.Fatalf("transfer window charged %.9fs, want symmetric 16-byte records: %.9fs", got, wantXfer)
+		t.Fatalf("coalesced moves cost %.3f ms, per-word path would be %.3f ms", got*1e3, perWord*1e3)
 	}
 
 	// Empty batch is free.
-	if ok, err := pm.ApplyTransfers(nil); err != nil || len(ok) != 0 {
-		t.Fatalf("empty transfer batch: %v %v", ok, err)
+	if res, err := pm.ApplyTxns(nil); err != nil || len(res) != 0 {
+		t.Fatalf("empty batch: %v %v", res, err)
 	}
 	if pm.Stats() != after {
-		t.Fatal("empty transfer batch charged time")
+		t.Fatal("empty batch charged time")
 	}
 
-	// A batch where every transfer is refused still gathered its
-	// snapshot, and BatchSeconds must reflect that window's delta.
-	refused, err := pm.ApplyTransfers([]Transfer{{From: 424242, To: 0, Amount: 1}})
-	if err != nil || refused[0] {
-		t.Fatalf("refused-only batch: %v %v", refused, err)
+	// A batch where every move is refused still paid its rounds, and
+	// BatchSeconds must reflect that window's delta.
+	if move(t, pm, 424242, 0, 1) {
+		t.Fatal("move from a missing key accepted")
 	}
 	if pm.BatchSeconds <= 0 {
-		t.Fatal("refused-only batch did not account its gather window")
+		t.Fatal("refused-only batch did not account its window")
 	}
 }
 

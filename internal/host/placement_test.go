@@ -268,8 +268,8 @@ func TestTransferMarksReplicasStale(t *testing.T) {
 	if err := pm.ReplicateKeys(map[uint64][]int{a: {2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := pm.TransferBetween(a, b, 300); err != nil || !ok {
-		t.Fatalf("transfer: %v %v", ok, err)
+	if !move(t, pm, a, b, 300) {
+		t.Fatal("transfer refused")
 	}
 	if dir.Replicas(a) != nil {
 		t.Fatal("transfer left stale copies serving")
@@ -334,11 +334,11 @@ func TestBatchSecondsPerBatchDelta(t *testing.T) {
 		t.Fatalf("deltas sum to %.9fs, wall is %.9fs", sum, wall)
 	}
 
-	// Empty transfer batches are free under delta semantics.
-	if _, err := pm.ApplyTransfers(nil); err != nil {
+	// Empty batches are free under delta semantics.
+	if _, err := pm.ApplyTxns(nil); err != nil {
 		t.Fatal(err)
 	}
 	if pm.BatchSeconds != 0 {
-		t.Fatalf("empty transfer batch reported %.9fs", pm.BatchSeconds)
+		t.Fatalf("empty batch reported %.9fs", pm.BatchSeconds)
 	}
 }

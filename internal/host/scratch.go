@@ -114,8 +114,8 @@ func (v *remView) Lookup(k uint64) (uint64, bool) {
 
 // evalScratch is the reusable state of one transaction evaluation:
 // write order, overlay and pre-txn images. One lives per (DPU, tasklet
-// slot) for the parallel kernels plus one on the batch scratch for the
-// host-applied phases.
+// slot) for the parallel kernels, one per host worker for shadow
+// shards, plus one on the batch scratch for the host-side prepare.
 type evalScratch struct {
 	order  []uint64
 	writes map[uint64]txnWrite
@@ -277,7 +277,6 @@ type batchScratch struct {
 	dirtyKeys    []uint64
 	coordWritten map[uint64]bool
 	eval         evalScratch
-	wbPut, wbDel dpuKeyLists
 
 	// Kernel-side commit (the writeback round). rootHasWrite/rootOwner
 	// classify each conflict group's write set (indexed by group root);
@@ -289,16 +288,17 @@ type batchScratch struct {
 	rootOwner      []int
 	wbPerDPU       [][]routedUnit
 	wbTouched      []int
-	wbSimIDs       []int
 	wbInstrBuckets []int
 	wbInstrs       []dpu.ApplyInstr
 	remOps         []dpu.ApplyOperand
-	shadowRem      remView
+
+	// simIDs is launchRound's scratch: the simulated DPUs of the round
+	// in flight.
+	simIDs []int
 
 	// Execute round.
 	perDPU       [][]routedUnit
 	dpuTouched   []int
-	simInvolved  []int
 	keyW         map[uint64]keyWrite
 	wroteKeys    []uint64
 	putGroups    map[uint64]int
@@ -312,10 +312,9 @@ type batchScratch struct {
 	curResults   []TxnResult
 	routed       []int
 
-	// Control-plane wrappers and mutateLists.
+	// Control-plane wrappers and mutateRound.
 	ctlSrc, ctlPut, ctlDel dpuKeyLists
 	mutInvolved            []int
-	mutSimIDs              []int
 
 	// Split-key execution (split.go). splitTouch flags how the batch
 	// touches each split key; splitRecon/splitDrop list the keys forced
@@ -375,13 +374,9 @@ func (sc *batchScratch) init(dpus int) {
 	sc.routed = make([]int, dpus)
 	sc.dpuTouched = make([]int, 0, dpus)
 	sc.wbTouched = make([]int, 0, dpus)
-	sc.wbSimIDs = make([]int, 0, dpus)
-	sc.simInvolved = make([]int, 0, dpus)
+	sc.simIDs = make([]int, 0, dpus)
 	sc.mutInvolved = make([]int, 0, dpus)
-	sc.mutSimIDs = make([]int, 0, dpus)
 	sc.perSrc.ensure(dpus)
-	sc.wbPut.ensure(dpus)
-	sc.wbDel.ensure(dpus)
 	sc.ctlSrc.ensure(dpus)
 	sc.ctlPut.ensure(dpus)
 	sc.ctlDel.ensure(dpus)
@@ -410,6 +405,19 @@ func (sc *batchScratch) shadowOp(op Op) []Op {
 	sc.shadowOps = append(sc.shadowOps, op)
 	n := len(sc.shadowOps)
 	return sc.shadowOps[n-1 : n : n]
+}
+
+// resetWb empties the writeback-round buckets and slabs (O(touched)).
+// The commit round and a split-key reconciliation's fold round share
+// them; the fold always runs first within a batch.
+func (sc *batchScratch) resetWb() {
+	for _, id := range sc.wbTouched {
+		sc.wbPerDPU[id] = sc.wbPerDPU[id][:0]
+		sc.wbInstrBuckets[id] = 0
+	}
+	sc.wbTouched = sc.wbTouched[:0]
+	sc.wbInstrs = sc.wbInstrs[:0]
+	sc.remOps = sc.remOps[:0]
 }
 
 // addWbUnit buckets one writeback-round unit onto a DPU, tracking
@@ -554,8 +562,7 @@ type dpuExec struct {
 	units []routedUnit
 	// wbErr records a commit unit's store-level failure (a partition
 	// out of capacity); unlike a client transaction's per-txn error, a
-	// failed commit of prepared writes fails the whole batch, matching
-	// the historical host-side writeback.
+	// failed commit of prepared writes fails the whole batch.
 	wbErr error
 	// failed stages the keys whose shadow ops hit store-level failures
 	// this round; executeRound merges the stages into the batch's

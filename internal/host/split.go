@@ -3,8 +3,6 @@ package host
 import (
 	"fmt"
 	"slices"
-
-	"pimstm/internal/dpu"
 )
 
 // This file is split-key execution — the Rebalancer's third remedy
@@ -226,7 +224,7 @@ func (pm *PartitionedMap) UnsplitKeys(keys []uint64) error {
 	slices.Sort(drop)
 	wallBefore := pm.fleet.Stats().WallSeconds
 	phases := pm.BatchPhases
-	err := pm.reconcileSplitKeys(nil, drop, false)
+	err := pm.reconcileSplitKeys(nil, drop)
 	pm.BatchPhases = phases
 	if err != nil {
 		return err
@@ -245,14 +243,14 @@ func (pm *PartitionedMap) UnsplitKeys(keys []uint64) error {
 // for sampled shadow shards — and the phase deltas accumulate into
 // BatchPhases like any other coordination round.
 //
-// With provision set (only from splitRewrite, whose splitPend tally is
-// fresh for this batch), a staying key whose folded total covers its
-// pending rewritten subtractions redistributes the total as escrow
-// instead of zero-folding: each shard gets its pending amount plus an
-// equal share of half the surplus, the home keeps the rest, and the key
-// is marked in splitProv so the batch's subs stay rewritten. The
-// splitTrack balances are set exactly at every fold either way.
-func (pm *PartitionedMap) reconcileSplitKeys(stay, drop []uint64, provision bool) error {
+// A staying key (only splitRewrite passes any, with its splitPend tally
+// fresh for this batch) whose folded total covers its pending rewritten
+// subtractions redistributes the total as escrow instead of
+// zero-folding: each shard gets its pending amount plus an equal share
+// of half the surplus, the home keeps the rest, and the key is marked
+// in splitProv so the batch's subs stay rewritten. The splitTrack
+// balances are set exactly at every fold either way.
+func (pm *PartitionedMap) reconcileSplitKeys(stay, drop []uint64) error {
 	sc := &pm.sc
 	n := pm.fleet.Size()
 	if len(stay)+len(drop) == 0 {
@@ -280,21 +278,13 @@ func (pm *PartitionedMap) reconcileSplitKeys(stay, drop []uint64, provision bool
 	}
 	pm.BatchPhases.GatherSeconds += pm.fleet.Stats().WallSeconds - gatherBefore
 
-	// The fold round reuses the writeback-round buckets; it always runs
-	// before executeRound/writebackRound touch them within a batch, and
-	// both reset the buckets at entry.
-	for _, id := range sc.wbTouched {
-		sc.wbPerDPU[id] = sc.wbPerDPU[id][:0]
-		sc.wbInstrBuckets[id] = 0
-	}
-	sc.wbTouched = sc.wbTouched[:0]
-	sc.wbInstrs = sc.wbInstrs[:0]
+	sc.resetWb()
 	fold := func(k uint64, unsplit bool) {
 		var delta uint64
 		for d := 0; d < n; d++ {
 			delta += vals[shardKeyFor(k, d)]
 		}
-		if provision && !unsplit {
+		if !unsplit {
 			var pend uint64
 			for d := 0; d < n; d++ {
 				pend += sc.splitPend[shardKeyFor(k, d)]
@@ -352,7 +342,9 @@ func (pm *PartitionedMap) reconcileSplitKeys(stay, drop []uint64, provision bool
 	for _, k := range drop {
 		fold(k, true)
 	}
-	if err := pm.runSplitFoldRound(); err != nil {
+	// All fold units are single-op commit records (ti < 0), so the round
+	// never touches transaction results.
+	if err := pm.commitRound(nil); err != nil {
 		return err
 	}
 	for _, k := range drop {
@@ -366,91 +358,12 @@ func (pm *PartitionedMap) reconcileSplitKeys(stay, drop []uint64, provision bool
 	return nil
 }
 
-// runSplitFoldRound launches the reconciliation's bucketed commit units
-// through the writeback kernels, charged like writebackRound: worst
-// per-DPU instruction-stream scatter on the wire, real kernel cycles on
-// simulated DPUs, the calibrated apply rate (refreshed from this
-// round's simulated work) for shadow shards.
-func (pm *PartitionedMap) runSplitFoldRound() error {
-	sc := &pm.sc
-	if len(sc.wbTouched) == 0 {
-		return nil
-	}
-	before := pm.fleet.Stats()
-	slices.Sort(sc.wbTouched)
-	involved := sc.wbTouched
-	maxScatter, maxShadowInstrs := 0, 0
-	for _, id := range involved {
-		bytes, instrs := 0, 0
-		for _, u := range sc.wbPerDPU[id] {
-			bytes += len(u.prog) * dpu.ApplyInstrBytes
-			instrs += len(u.prog)
-		}
-		sc.wbInstrBuckets[id] = instrs
-		if bytes > maxScatter {
-			maxScatter = bytes
-		}
-		if pm.isShadow(id) && instrs > maxShadowInstrs {
-			maxShadowInstrs = instrs
-		}
-	}
-	spec := RoundSpec{
-		Involved:     len(involved),
-		ScatterBytes: maxScatter,
-		IDs:          involved,
-		Program:      pm.wbProgFn,
-	}
-	if pm.sampled {
-		simIDs := sc.wbSimIDs[:0]
-		for _, id := range involved {
-			if pm.sim[id] {
-				simIDs = append(simIDs, id)
-			}
-		}
-		sc.wbSimIDs = simIDs
-		spec.IDs = simIDs
-		spec.AnalyticKernelSeconds = dpu.EstimateApplyKernelSeconds(pm.applyCycles, maxShadowInstrs, 0)
-	}
-	if err := pm.fleet.Round(spec); err != nil {
-		return err
-	}
-	if pm.sampled {
-		for _, id := range involved {
-			if pm.sim[id] {
-				continue
-			}
-			// All fold units are single-op commit records (ti < 0), so
-			// the shadow runner never touches transaction results.
-			if err := pm.shadowRunUnits(id, sc.wbPerDPU[id], nil); err != nil {
-				return err
-			}
-		}
-		var simSecs float64
-		simInstrs := 0
-		for _, id := range sc.wbSimIDs {
-			simSecs += pm.exec[id].lastSeconds
-			simInstrs += sc.wbInstrBuckets[id]
-		}
-		if simInstrs > 0 && simSecs > 0 {
-			pm.applyCycles = simSecs * dpu.DefaultClockHz / float64(simInstrs)
-		}
-	}
-	after := pm.fleet.Stats()
-	pm.BatchPhases.ApplySeconds += after.LaunchSeconds - before.LaunchSeconds
-	if wb := (after.WallSeconds - before.WallSeconds) - (after.LaunchSeconds - before.LaunchSeconds); wb > 0 {
-		pm.BatchPhases.WritebackSeconds += wb
-	}
-	return nil
-}
-
 // splitRewrite is the batch pre-pass of split-key execution — see the
 // protocol at the top of this file. It returns the batch to execute:
 // the original slice when nothing qualifies for rewriting, or a scratch
 // copy whose qualifying adds target delta shards (client transactions
-// are never mutated in place). In coordinateAll mode (ApplyTransfers)
-// nothing is ever rewritten — every touched split key reconciles and
-// the batch runs on the historical host-coordinated path verbatim.
-func (pm *PartitionedMap) splitRewrite(txns []Txn, coordinateAll bool) ([]Txn, error) {
+// are never mutated in place).
+func (pm *PartitionedMap) splitRewrite(txns []Txn) ([]Txn, error) {
 	sc := &pm.sc
 	dir := pm.dir
 	clear(sc.splitTouch)
@@ -463,14 +376,14 @@ func (pm *PartitionedMap) splitRewrite(txns []Txn, coordinateAll bool) ([]Txn, e
 			}
 			touched = true
 			f := sc.splitTouch[op.Key]
-			switch {
-			case op.Kind == OpAdd && !coordinateAll:
+			switch op.Kind {
+			case OpAdd:
 				f |= splitTouchAdd
-			case op.Kind == OpSub && !coordinateAll:
+			case OpSub:
 				f |= splitTouchSub
-			case op.Kind == OpGet:
+			case OpGet:
 				f |= splitTouchRead
-			case op.Kind == OpDelete:
+			case OpDelete:
 				f |= splitTouchWrite | splitTouchDelete
 			default:
 				f |= splitTouchWrite
@@ -578,7 +491,7 @@ func (pm *PartitionedMap) splitRewrite(txns []Txn, coordinateAll bool) ([]Txn, e
 	slices.Sort(drops)
 	sc.splitRecon, sc.splitDrop = recon, drops
 	if len(recon) > 0 || len(drops) > 0 {
-		if err := pm.reconcileSplitKeys(recon, drops, !coordinateAll); err != nil {
+		if err := pm.reconcileSplitKeys(recon, drops); err != nil {
 			return nil, err
 		}
 	}
@@ -607,7 +520,7 @@ func (pm *PartitionedMap) splitRewrite(txns []Txn, coordinateAll bool) ([]Txn, e
 			break
 		}
 	}
-	if !rewrite || coordinateAll {
+	if !rewrite {
 		return txns, nil
 	}
 	work := append(sc.splitTxns[:0], txns...)

@@ -93,36 +93,22 @@ type SubmitterStats struct {
 	// under a lane-segregating scheduler (both zero under FIFO, whose
 	// batches are unlaned).
 	ConfinedBatches, CoordinatedBatches int
-	// GatherSeconds, ApplySeconds and WritebackSeconds accumulate every
-	// applied batch's coordinated-commit phase split (ApplyTxnsStats):
-	// prepare gathers, kernel apply-program cycles, and writeback
-	// transfer time, on the modeled clock. All zero for a workload that
-	// never coordinates.
-	GatherSeconds, ApplySeconds, WritebackSeconds float64
-	// GuardAborts accumulates every applied batch's guard-aborted
-	// transactions (ApplyTxnsStats.GuardAborts): clean aborts on a
-	// missing key or an OpSub underflow, with no store-level error.
-	GuardAborts int
-	// HostClassifySeconds, HostRouteSeconds, HostShadowSeconds and
-	// HostCompileSeconds accumulate the batches' REAL machine wall-clock
-	// per host-side phase (ApplyTxnsStats.Host*Seconds) — simulator
-	// speed, not modeled time. They vary run to run, so every
-	// byte-identity comparison of serving results must zero them first
+	// ApplyTxnsStats accumulates every applied batch's window stats: the
+	// coordinated-commit phase split on the modeled clock (all zero for a
+	// workload that never coordinates), the guard-aborted transactions,
+	// and the REAL machine wall-clock per host-side phase — simulator
+	// speed, not modeled time, which varies run to run, so every
+	// byte-identity comparison of serving results must zero it first
 	// (see ServeResult.ZeroHostClock).
-	HostClassifySeconds float64
-	HostRouteSeconds    float64
-	HostShadowSeconds   float64
-	HostCompileSeconds  float64
+	ApplyTxnsStats
 }
 
 // ZeroHostClock clears the real-time host phase counters so two runs'
 // stats can be compared for byte identity. Every modeled-clock field
 // stays untouched.
 func (s *SubmitterStats) ZeroHostClock() {
-	s.HostClassifySeconds = 0
-	s.HostRouteSeconds = 0
-	s.HostShadowSeconds = 0
-	s.HostCompileSeconds = 0
+	s.HostClassifySeconds, s.HostRouteSeconds = 0, 0
+	s.HostShadowSeconds, s.HostCompileSeconds = 0, 0
 }
 
 // submitMsg is one queue entry: a transaction with its future, or a
@@ -348,14 +334,7 @@ func (s *Submitter) flush(b SchedBatch) {
 	s.stats.Txns += len(b.Txns)
 	s.stats.Batches++
 	if err == nil {
-		s.stats.GatherSeconds += s.pm.BatchPhases.GatherSeconds
-		s.stats.ApplySeconds += s.pm.BatchPhases.ApplySeconds
-		s.stats.WritebackSeconds += s.pm.BatchPhases.WritebackSeconds
-		s.stats.GuardAborts += s.pm.BatchPhases.GuardAborts
-		s.stats.HostClassifySeconds += s.pm.BatchPhases.HostClassifySeconds
-		s.stats.HostRouteSeconds += s.pm.BatchPhases.HostRouteSeconds
-		s.stats.HostShadowSeconds += s.pm.BatchPhases.HostShadowSeconds
-		s.stats.HostCompileSeconds += s.pm.BatchPhases.HostCompileSeconds
+		s.stats.add(s.pm.BatchPhases)
 	}
 	if ops > s.stats.MaxBatchOps {
 		s.stats.MaxBatchOps = ops

@@ -197,61 +197,6 @@ func TestTxnConflictSerialization(t *testing.T) {
 	}
 }
 
-// TestTransferBetweenCostUnchanged is the wrapper-parity regression:
-// TransferBetween is now a 2-key transaction, but its semantics and
-// modeled cost must match the historical host-mediated path exactly —
-// two fleet rounds, symmetric 16-byte records, worst-case bucket.
-func TestTransferBetweenCostUnchanged(t *testing.T) {
-	pm := newPM(t, 4)
-	a, b := uint64(1), uint64(2)
-	for pm.owner(b) == pm.owner(a) {
-		b++
-	}
-	if _, err := pm.ApplyBatch([]Op{
-		{Kind: OpPut, Key: a, Value: 1000},
-		{Kind: OpPut, Key: b, Value: 500},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	before := pm.Stats()
-	ok, err := pm.TransferBetween(a, b, 300)
-	if err != nil || !ok {
-		t.Fatalf("transfer: %v %v", ok, err)
-	}
-	after := pm.Stats()
-	if got := after.Rounds - before.Rounds; got != 2 {
-		t.Fatalf("transfer took %d rounds, want 2", got)
-	}
-	// Historical model: one gather and one writeback of one 16-byte
-	// record per involved DPU (the two keys live on distinct DPUs).
-	want := 2 * TransferSeconds(2, 16)
-	if got := after.TransferSeconds - before.TransferSeconds; got < want-1e-12 || got > want+1e-12 {
-		t.Fatalf("transfer charged %.9fs, historical model is %.9fs", got, want)
-	}
-
-	// Same-DPU pair: both records ride one DPU's link, gather and
-	// writeback each carry the 2-record bucket.
-	c := a + 1
-	for pm.owner(c) != pm.owner(a) || c == a {
-		c++
-	}
-	if _, err := pm.ApplyBatch([]Op{{Kind: OpPut, Key: c, Value: 100}}); err != nil {
-		t.Fatal(err)
-	}
-	before = pm.Stats()
-	if ok, err := pm.TransferBetween(a, c, 50); err != nil || !ok {
-		t.Fatalf("same-DPU transfer: %v %v", ok, err)
-	}
-	after = pm.Stats()
-	if got := after.Rounds - before.Rounds; got != 2 {
-		t.Fatalf("same-DPU transfer took %d rounds, want 2", got)
-	}
-	want = 2 * TransferSeconds(1, 16*2)
-	if got := after.TransferSeconds - before.TransferSeconds; got < want-1e-12 || got > want+1e-12 {
-		t.Fatalf("same-DPU transfer charged %.9fs, historical model is %.9fs", got, want)
-	}
-}
-
 // TestTxnReplicaAwareGather is the satellite cost regression: when a
 // cross-DPU transaction reads keys whose fresh replicas sit on an
 // already-involved DPU, the snapshot gather balances its buckets over
@@ -333,8 +278,8 @@ func TestTxnStaleReplicaPinsGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A transfer writes hot[1], staling its copy on DPU 1.
-	if ok, err := pm.TransferBetween(hot[0], hot[1], 1); err != nil || !ok {
-		t.Fatalf("transfer: %v %v", ok, err)
+	if !move(t, pm, hot[0], hot[1], 1) {
+		t.Fatal("transfer refused")
 	}
 	if dir.Replicas(hot[1]) != nil {
 		t.Fatal("stale copy still serving")
@@ -539,12 +484,20 @@ func TestApplyTxnsDeterministic(t *testing.T) {
 // and trivially committed.
 func TestApplyTxnsEmpty(t *testing.T) {
 	pm := newPM(t, 2)
+	// A window with a guard abort first, so the empty one has phases to
+	// reset.
+	if _, err := pm.ApplyTxns([]Txn{NewTxn(Op{Kind: OpAdd, Key: 1, Value: 1})}); err != nil || pm.BatchPhases.GuardAborts != 1 {
+		t.Fatalf("missing-key add: %v, phases %+v", err, pm.BatchPhases)
+	}
 	res, err := pm.ApplyTxns(nil)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: %v %v", res, err)
 	}
 	if pm.BatchSeconds != 0 {
 		t.Fatal("empty batch charged time")
+	}
+	if pm.BatchPhases != (ApplyTxnsStats{}) {
+		t.Fatalf("empty batch reports the previous window's phases: %+v", pm.BatchPhases)
 	}
 	res, err = pm.ApplyTxns([]Txn{{}})
 	if err != nil || len(res) != 1 {
@@ -557,9 +510,7 @@ func TestApplyTxnsEmpty(t *testing.T) {
 // kernel-apply fast path (gather + commit round, apply cycles charged
 // on-DPU), guard aborts roll back inside the kernel, a group writing
 // across owners pays the same two rounds through the prepare/commit
-// protocol, and the coordinateAll compatibility mode still applies
-// host-side for free (its ApplySeconds stays zero — the honesty caveat
-// the phase split exists to expose).
+// protocol.
 func TestKernelCommitProtocol(t *testing.T) {
 	pm := newPM(t, 4)
 	// w and w2 share an owner (the write set's home); r lives elsewhere
@@ -652,18 +603,5 @@ func TestKernelCommitProtocol(t *testing.T) {
 	}
 	if vr, _ := pm.Get(r); vr != 17 {
 		t.Fatalf("r = %d", vr)
-	}
-
-	// coordinateAll (ApplyTransfers) keeps the historical host-applied
-	// writeback: gather and writeback are paid, apply cycles are not.
-	if ok, err := pm.TransferBetween(w, r, 5); err != nil || !ok {
-		t.Fatalf("transfer: %v %v", ok, err)
-	}
-	ph = pm.BatchPhases
-	if ph.GatherSeconds <= 0 || ph.WritebackSeconds <= 0 {
-		t.Fatalf("transfer phase split degenerate: %+v", ph)
-	}
-	if ph.ApplySeconds != 0 {
-		t.Fatalf("coordinateAll charged apply cycles %g, want 0 (host-applied)", ph.ApplySeconds)
 	}
 }
